@@ -1,38 +1,44 @@
-"""Vectorized-executor benchmark: batch sizes, query shapes, load overhead.
+"""Vectorized-executor benchmark: execution and store-build times.
 
-Compares the batched, dictionary-encoded executor against the retained
-tuple-at-a-time baseline (``batch_size=0, intern_terms=False``) at the
-execution level: SQL is compiled and parsed once, then ``db.execute`` runs
-the prepared statement, so the measured time is operator work plus result
-materialization (dictionary decode included) with no compile noise.
+The batched, dictionary-encoded executor is the engine's only execution
+path. This bench times it at the execution level: SQL is compiled and
+parsed once, then ``db.execute`` runs the prepared statement, so the
+measured time is operator work plus result materialization (dictionary
+decode included) with no compile noise.
+
+Every time is expressed in *calibration units*: seconds divided by the
+mean duration of ``perfbench.common.calibration_loop(CALIBRATION_ITERATIONS)``
+run just before and just after the timed work. The unit cancels machine
+speed, and the interleaving follows the CPU-speed swings of a shared host.
+A gated number is the median of ``GATE_RUNS`` runs at the fixed sizes the
+pinned baselines in ``check_regressions.py`` were measured at.
 
 Three query shapes stress different operator mixes:
 
 * **star** — the paper's Section 2.1 entity stars: scan + multi-predicate
   filters, where whole-chunk filter kernels and columnar projection
-  dominate. This is where vectorization pays the most.
+  dominate.
 * **chain** — multi-hop ``?a next ?b . ?b next ?c`` paths: per-row hash
   index probes dominate, which are inherently scalar work (one dict
-  lookup per left row), so the ceiling is much lower than for stars.
+  lookup per left row).
 * **lubm** — small LUBM-style lookups, reported for context only; most
-  return a handful of rows, so fixed per-query costs swamp the ratio.
+  return a handful of rows, so fixed per-query costs dominate.
 
-Dictionary-encode load overhead is measured on alternating full store
-builds (interning on / off) and reported as the median per-round ratio,
-which cancels slow machine drift that back-to-back means would absorb.
-
-Gated metrics (``check_regressions.py``): ``batch_speedup_star``,
-``batch_speedup_chain``, ``dict_encode_overhead``.
+Gated metrics (``check_regressions.py``): ``star_exec_cal``,
+``chain_exec_cal``, ``interned_build_cal``.
 """
 
 from __future__ import annotations
 
+import gc
+import pathlib
 import random
 import statistics
+import sys
 import time
 
 import pytest
-from conftest import SCALE, record_metric, report, scaled
+from conftest import SCALE, record_metric, report
 
 from repro import RdfStore
 from repro.backends.minirel import MiniRelBackend
@@ -41,18 +47,26 @@ from repro.rdf.terms import Triple, URI
 from repro.relational.parser import parse_sql
 from repro.workloads import lubm, microbench
 
-#: chunk sizes under comparison (default DEFAULT_BATCH_SIZE is 256)
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from perfbench.common import calibration_loop  # noqa: E402
+
+#: chunk sizes under comparison (DEFAULT_BATCH is the engine default)
 BATCH_SIZES = (64, 256, 1024)
 DEFAULT_BATCH = 256
 
 CHAIN_BASE = "http://example.org/chain/"
 
-#: floors below which the measured ratios are fixed-cost noise, applied on
-#: top of REPRO_BENCH_SCALE so even smoke CI runs measure real work
-MIN_STAR_TRIPLES = 20_000
-MIN_CHAIN_ENTITIES = 4_000
+#: fixed dataset sizes (independent of REPRO_BENCH_SCALE): the pinned
+#: baselines were measured at exactly these sizes
+STAR_TRIPLES = 20_000
+CHAIN_ENTITIES = 4_000
 
 STAR_QUERY_NAMES = ("Q1", "Q2", "Q7", "Q10")
+
+#: steps of the calibration loop that makes one calibration unit
+CALIBRATION_ITERATIONS = 50_000
+#: runs whose median is a gated number
+GATE_RUNS = 10
 
 
 def chain_graph(entities: int, seed: int = 7) -> Graph:
@@ -84,138 +98,140 @@ def chain_queries() -> dict[str, str]:
     }
 
 
-def prepare(store: RdfStore, sparql: str):
-    """Compile to SQL once and parse it: the reusable prepared statement."""
-    compiled, _ = store.engine.compile(sparql)
-    statements = list(parse_sql(store.backend.sql_text(compiled)))
-    assert len(statements) == 1
-    return statements[0]
+def calibrated(work) -> float:
+    """``work()``'s wall time in calibration units."""
+    before = calibration_loop(CALIBRATION_ITERATIONS)
+    start = time.perf_counter()
+    work()
+    elapsed = time.perf_counter() - start
+    after = calibration_loop(CALIBRATION_ITERATIONS)
+    return elapsed / ((before + after) / 2)
 
 
-def best_exec(store: RdfStore, statement, repeats: int = 3):
-    """Best-of-N wall time of ``db.execute`` on a prepared statement."""
-    best = float("inf")
-    rows = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = store.backend.db.execute(statement)
-        best = min(best, time.perf_counter() - start)
-        rows = len(result.rows)
-    return best, rows
-
-
-def _speedup_table(graph, queries: dict[str, str]):
-    """Per-query speedups of every batch size over the scalar baseline.
-
-    Returns ``(table_text, {batch_size: {query: speedup}})``; asserts that
-    every configuration returns the same number of rows as the baseline.
-    """
-    baseline = RdfStore.from_graph(
-        graph, backend=MiniRelBackend(batch_size=0, intern_terms=False)
-    )
-    batched = {
-        size: RdfStore.from_graph(
-            graph, backend=MiniRelBackend(batch_size=size, intern_terms=True)
-        )
-        for size in BATCH_SIZES
-    }
-    speedups: dict[int, dict[str, float]] = {size: {} for size in BATCH_SIZES}
-    lines = [
-        f"{'query':8s} {'rows':>7s} {'base ms':>9s} "
-        + " ".join(f"b={size:<5d}" for size in BATCH_SIZES)
-    ]
+def prepared(store: RdfStore, queries: dict[str, str]) -> dict:
+    """Each query compiled to SQL once and parsed: prepared statements."""
+    statements = {}
     for name, sparql in queries.items():
-        base_time, base_rows = best_exec(baseline, prepare(baseline, sparql))
+        compiled, _ = store.engine.compile(sparql)
+        (statements[name],) = parse_sql(store.backend.sql_text(compiled))
+    return statements
+
+
+def best_exec(store: RdfStore, statement) -> float:
+    """Best-of-3 calibrated time of ``db.execute`` on a prepared statement."""
+    db = store.backend.db
+    return min(calibrated(lambda: db.execute(statement)) for _ in range(3))
+
+
+def exec_run(store: RdfStore, statements: dict) -> float:
+    """One run: the geomean over the statements of their best exec time."""
+    return statistics.geometric_mean(
+        best_exec(store, statement) for statement in statements.values()
+    )
+
+
+def gated_exec(store: RdfStore, statements: dict) -> float:
+    """The gated number: median of GATE_RUNS runs (at the store's batch
+    size, the default unless a caller changed it)."""
+    return statistics.median(
+        exec_run(store, statements) for _ in range(GATE_RUNS)
+    )
+
+
+def batch_size_table(store: RdfStore, statements: dict):
+    """Per-query exec times at every batch size; asserts every size
+    returns the same rows. Returns ``(table_text, {size: geomean})``."""
+    db = store.backend.db
+    lines = [
+        f"{'query':8s} {'rows':>7s} "
+        + " ".join(f"b={size:<7d}" for size in BATCH_SIZES)
+    ]
+    times: dict[int, list[float]] = {size: [] for size in BATCH_SIZES}
+    for name, statement in statements.items():
+        rows = None
         cells = []
-        for size, store in batched.items():
-            fast_time, fast_rows = best_exec(store, prepare(store, sparql))
-            assert fast_rows == base_rows, (name, size, fast_rows, base_rows)
-            speedups[size][name] = base_time / fast_time
-            cells.append(f"{base_time / fast_time:6.2f}x")
-        lines.append(
-            f"{name:8s} {base_rows:7d} {base_time * 1e3:9.2f} " + " ".join(cells)
-        )
-    return "\n".join(lines), speedups
-
-
-def _geomean(values) -> float:
-    return statistics.geometric_mean(list(values))
+        for size in BATCH_SIZES:
+            db.batch_size = size
+            got = sorted(db.execute(statement).rows, key=repr)
+            assert rows is None or got == rows, (name, size)
+            rows = got
+            times[size].append(best_exec(store, statement))
+            cells.append(f"{times[size][-1]:9.4f}")
+        lines.append(f"{name:8s} {len(rows):7d} " + " ".join(cells))
+    db.batch_size = DEFAULT_BATCH
+    geomeans = {
+        size: statistics.geometric_mean(values) for size, values in times.items()
+    }
+    return "\n".join(lines), geomeans
 
 
 @pytest.fixture(scope="module")
 def star_graph():
-    return microbench.generate(
-        target_triples=max(MIN_STAR_TRIPLES, scaled(60_000))
-    ).graph
+    return microbench.generate(target_triples=STAR_TRIPLES).graph
 
 
 def test_batch_star(star_graph):
-    queries = {
-        name: sparql
-        for name, sparql in microbench.queries().items()
-        if name in STAR_QUERY_NAMES
-    }
-    table, speedups = _speedup_table(star_graph, queries)
-    report("batch execution: star queries (speedup over tuple-at-a-time)", table)
-    record_metric(
-        "batch_speedup_star", round(_geomean(speedups[DEFAULT_BATCH].values()), 2)
+    store = RdfStore.from_graph(star_graph, backend=MiniRelBackend())
+    statements = prepared(
+        store,
+        {
+            name: sparql
+            for name, sparql in microbench.queries().items()
+            if name in STAR_QUERY_NAMES
+        },
     )
-    best = max(BATCH_SIZES, key=lambda size: _geomean(speedups[size].values()))
-    record_metric("batch_best_size_star", best)
+    table, geomeans = batch_size_table(store, statements)
+    report("batch execution: star queries (calibration units)", table)
+    record_metric("batch_best_size_star", min(geomeans, key=geomeans.get))
+    record_metric("star_exec_cal", round(gated_exec(store, statements), 4))
 
 
 def test_batch_chain():
-    graph = chain_graph(max(MIN_CHAIN_ENTITIES, int(8_000 * SCALE)))
-    table, speedups = _speedup_table(graph, chain_queries())
-    report("batch execution: chain queries (speedup over tuple-at-a-time)", table)
-    record_metric(
-        "batch_speedup_chain", round(_geomean(speedups[DEFAULT_BATCH].values()), 2)
+    store = RdfStore.from_graph(
+        chain_graph(CHAIN_ENTITIES), backend=MiniRelBackend()
     )
+    statements = prepared(store, chain_queries())
+    table, _ = batch_size_table(store, statements)
+    report("batch execution: chain queries (calibration units)", table)
+    record_metric("chain_exec_cal", round(gated_exec(store, statements), 4))
 
 
 def test_batch_lubm():
     universities = max(1, int(2 * SCALE))
     data = lubm.generate(universities=universities)
     queries = lubm.queries(universities=universities)
-    names = list(queries)[:4]
-    table, speedups = _speedup_table(
-        data.graph, {name: queries[name] for name in names}
-    )
+    store = RdfStore.from_graph(data.graph, backend=MiniRelBackend())
+    statements = prepared(store, {name: queries[name] for name in list(queries)[:4]})
+    table, _ = batch_size_table(store, statements)
     report("batch execution: LUBM-style queries (context, not gated)", table)
-    record_metric(
-        "batch_speedup_lubm", round(_geomean(speedups[DEFAULT_BATCH].values()), 2)
-    )
 
 
-def test_dict_load_overhead(star_graph):
-    """Store-build overhead of dictionary interning, alternating rounds.
+def test_interned_build(star_graph):
+    """Store build with every TEXT value interned, median of GATE_RUNS.
 
     The collector is paused around each timed build: interning allocates
-    roughly twice the objects of a plain load, and with the large live
-    heap a bench session accumulates, cyclic-GC passes triggered by that
-    allocation rate would be billed (superlinearly) to the dictionary.
+    many small objects, and with the large live heap a bench session
+    accumulates, cyclic-GC passes triggered by that allocation rate would
+    be billed (superlinearly) to the build.
     """
-    import gc
-
-    rounds = 5
-    ratios = []
-    for _ in range(rounds):
+    runs = []
+    for _ in range(GATE_RUNS):
         gc.collect()
         gc.disable()
         try:
-            start = time.perf_counter()
-            RdfStore.from_graph(star_graph, backend=MiniRelBackend(intern_terms=True))
-            with_dict = time.perf_counter() - start
-            start = time.perf_counter()
-            RdfStore.from_graph(star_graph, backend=MiniRelBackend(intern_terms=False))
-            without = time.perf_counter() - start
+            runs.append(
+                calibrated(
+                    lambda: RdfStore.from_graph(
+                        star_graph, backend=MiniRelBackend()
+                    )
+                )
+            )
         finally:
             gc.enable()
-        ratios.append(with_dict / without - 1.0)
-    overhead = statistics.median(ratios)
+    build = statistics.median(runs)
     report(
-        "dictionary-encode load overhead",
-        f"median of {rounds} alternating rounds: {overhead * 100:+.1f}%\n"
-        f"rounds: {' '.join(f'{r * 100:+.1f}%' for r in ratios)}",
+        "interned store build (calibration units)",
+        f"median of {GATE_RUNS} runs: {build:.2f}\n"
+        f"runs: {' '.join(f'{r:.2f}' for r in runs)}",
     )
-    record_metric("dict_encode_overhead", round(overhead, 4))
+    record_metric("interned_build_cal", round(build, 3))

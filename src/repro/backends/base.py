@@ -78,6 +78,7 @@ class Backend(abc.ABC):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
+        tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
         """Run a statement; returns (column names, rows).
 
@@ -90,6 +91,11 @@ class Backend(abc.ABC):
         ``snapshot`` is a handle from :meth:`open_snapshot`; when given,
         the statement reads the point-in-time state the handle pins
         instead of the latest state.
+        ``tracer`` (duck-typed :class:`repro.core.observe.Tracer`, or
+        ``None`` for no tracing) records the work under a
+        ``<name>.execute`` span with the result rowcount; each backend adds
+        its own detail (minirel meters every operator, sqlite attaches its
+        ``EXPLAIN QUERY PLAN``).
         """
 
     # ------------------------------------------------------ write brackets
@@ -118,34 +124,6 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def row_count(self, table_name: str) -> int:
         """Number of rows in a table (cheap metadata access)."""
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
-        tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        """Run a statement under a tracer (``repro.core.observe.Tracer``).
-
-        The default wraps :meth:`execute` in a single span with the result
-        rowcount; backends override it to report finer-grained work (the
-        minirel planner meters every operator, sqlite attaches its
-        ``EXPLAIN QUERY PLAN``). The tracer is duck-typed so backends need
-        no dependency on the observability layer; ``None`` degrades to a
-        plain :meth:`execute`.
-        """
-        if tracer is None or not tracer.enabled:
-            return self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
-        with tracer.span(f"{self.name}.execute") as span:
-            columns, rows = self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
-            span.set("rows_out", len(rows))
-        return columns, rows
 
     def sql_text(self, statement: ast.Statement) -> str:
         """Render a statement to this backend's SQL dialect (for EXPLAIN-style

@@ -6,7 +6,7 @@ import time
 from typing import Any, Iterable, Sequence
 
 from ..relational import ast
-from ..relational.catalog import DEFAULT_BATCH_SIZE, Database
+from ..relational.catalog import Database
 from ..relational.types import ColumnType
 from .base import Backend
 
@@ -30,21 +30,16 @@ class MiniRelSnapshot:
 class MiniRelBackend(Backend):
     """The default backend: :class:`repro.relational.Database` in-process.
 
-    ``batch_size`` selects the vectorized executor (0 = tuple-at-a-time,
-    the measured baseline); ``intern_terms`` dictionary-encodes TEXT
-    values (RDF term keys) into integer ids, decoded only at the result
-    boundary. Both default on — the fast configuration.
+    The engine runs the vectorized executor over dictionary-encoded TEXT
+    values (RDF term keys interned as integer ids, decoded only at the
+    result boundary).
     """
 
     name = "minirel"
     supports_snapshots = True
 
-    def __init__(
-        self,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        intern_terms: bool = True,
-    ) -> None:
-        self.db = Database(batch_size=batch_size, intern_strings=intern_terms)
+    def __init__(self) -> None:
+        self.db = Database()
         self._index_counter = 0
 
     def create_table(
@@ -69,30 +64,17 @@ class MiniRelBackend(Backend):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        version = None if snapshot is None else snapshot.version
-        result = self.db.execute(
-            statement, deadline=deadline, budget=budget, version=version
-        )
-        return result.columns, result.rows
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
         tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
     ) -> tuple[list[str], list[tuple]]:
-        """Execute with the planner metering every operator iterator
+        """With a tracer, the planner meters every operator iterator
         (scans, joins, filters, set ops, CTEs) into the trace."""
-        if tracer is None or not tracer.enabled:
-            return self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
         deadline = time.monotonic() + timeout if timeout is not None else None
         version = None if snapshot is None else snapshot.version
+        if tracer is None:
+            result = self.db.execute(
+                statement, deadline=deadline, budget=budget, version=version
+            )
+            return result.columns, result.rows
         with tracer.span(f"{self.name}.execute") as span:
             result = self.db.execute(
                 statement,

@@ -140,16 +140,26 @@ class SqliteBackend(Backend):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
+        tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
+        """With a tracer, sqlite's own plan is attached: an ``EXPLAIN QUERY
+        PLAN`` span (one child per plan node) plus the result rowcount."""
         if snapshot is not None:
-            _register_functions(snapshot.connection, snapshot.registered)
-            return self._execute_on(
-                snapshot.connection, snapshot.lock, statement, timeout, budget
+            connection, lock = snapshot.connection, snapshot.lock
+            _register_functions(connection, snapshot.registered)
+        else:
+            connection, lock = self.connection, self._lock
+            self._register_functions()  # pick up late registrations
+        if tracer is None:
+            return self._execute_on(connection, lock, statement, timeout, budget)
+        with tracer.span(f"{self.name}.execute") as span:
+            with tracer.span("explain-query-plan") as plan_span:
+                plan_span.set("plan", self.explain_query_plan(statement))
+            columns, rows = self._execute_on(
+                connection, lock, statement, timeout, budget
             )
-        self._register_functions()  # pick up late registrations
-        return self._execute_on(
-            self.connection, self._lock, statement, timeout, budget
-        )
+            span.set("rows_out", len(rows))
+        return columns, rows
 
     def _execute_on(
         self,
@@ -243,29 +253,6 @@ class SqliteBackend(Backend):
         )
         connection.deserialize(data)
         return SqliteSnapshot(connection, read_txn=False)
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
-        tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        """Execute with sqlite's own plan attached: an ``EXPLAIN QUERY
-        PLAN`` span (one child per plan node) plus the result rowcount."""
-        if tracer is None or not tracer.enabled:
-            return self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
-        with tracer.span(f"{self.name}.execute") as span:
-            with tracer.span("explain-query-plan") as plan_span:
-                plan_span.set("plan", self.explain_query_plan(statement))
-            columns, rows = self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
-            span.set("rows_out", len(rows))
-        return columns, rows
 
     def explain_query_plan(
         self, statement: ast.Statement | str

@@ -359,38 +359,22 @@ class ResilientBackend(Backend):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        return self._guarded(
-            "execute",
-            lambda: self.inner.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            ),
-        )
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
         tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
     ) -> tuple[list[str], list[tuple]]:
-        if tracer is None or not tracer.enabled:
-            return self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
+        def call() -> tuple[list[str], list[tuple]]:
+            return self.inner.execute(
+                statement,
+                timeout=timeout,
+                budget=budget,
+                snapshot=snapshot,
+                tracer=tracer,
             )
+
+        if tracer is None:
+            return self._guarded("execute", call)
         before = self.metrics["retries"]
         with tracer.span("resilient", backend=self.inner.name) as span:
-            result = self._guarded(
-                "execute",
-                lambda: self.inner.execute_profiled(
-                    statement,
-                    timeout=timeout,
-                    tracer=tracer,
-                    budget=budget,
-                    snapshot=snapshot,
-                ),
-            )
+            result = self._guarded("execute", call)
             span.set("retries", self.metrics["retries"] - before)
             span.set("breaker", self.breaker.state)
         return result
@@ -632,23 +616,15 @@ class ChaosBackend(Backend):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
+        tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
         self._step("execute")
         return self.inner.execute(
-            statement, timeout=timeout, budget=budget, snapshot=snapshot
-        )
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
-        tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        self._step("execute")
-        return self.inner.execute_profiled(
-            statement, timeout=timeout, tracer=tracer, budget=budget, snapshot=snapshot
+            statement,
+            timeout=timeout,
+            budget=budget,
+            snapshot=snapshot,
+            tracer=tracer,
         )
 
     def table_names(self) -> list[str]:

@@ -1,18 +1,17 @@
-"""Vectorized execution: operators over fixed-size row batches.
+"""Vectorized execution: the minirel operators, over fixed-size row batches.
 
-The tuple-at-a-time pipeline in :mod:`executor` pays Python generator and
-closure overhead for every row. This module provides the batched
-equivalents: operators stream *chunks* (lists of up to ``batch_size`` row
-tuples), so per-row interpreter work collapses into slice copies, list
+Operators stream *chunks* (lists of up to ``batch_size`` row tuples) rather
+than single rows, so the Python generator and closure overhead is paid per
+chunk and per-row interpreter work collapses into slice copies, list
 comprehensions, and ``map(itemgetter(...), ...)`` — all of which run inside
-the interpreter's C loops.
+the interpreter's C loops. This is the engine's only execution path.
 
 Two kinds of building blocks live here:
 
 * **Batch operators** (``seq_scan_batches``, ``filter_batches``, the
-  joins): generator functions over chunk iterators. Guardrails move to
+  joins): generator functions over chunk iterators. Guardrails are
   per-chunk ``Ticker.tick_batch(len(chunk))`` calls, which count *logical
-  rows*, so row budgets and deadlines keep tuple-at-a-time semantics.
+  rows*, so row budgets and deadlines do not depend on the batch size.
 * **Kernel compilers** (``compile_filter_kernel``,
   ``compile_projection_kernel``): translate a restricted but hot subset of
   expression ASTs — conjunctions/disjunctions of equalities over columns,
@@ -115,8 +114,9 @@ def filter_batches(
     condition: Evaluator | None,
     ticker: Ticker,
 ) -> Chunks:
-    """Filter whole chunks; compiled kernel when available, else the scalar
-    condition applied inside a comprehension (exact three-valued logic)."""
+    """Filter whole chunks; compiled kernel when available, else the
+    per-row condition applied inside a comprehension (exact three-valued
+    logic)."""
     tick = ticker.tick_batch
     if kernel is not None:
         for chunk in chunks:
@@ -144,7 +144,9 @@ def hash_join_batches(
     ticker: Ticker,
 ) -> Chunks:
     """Batched equi hash join (LEFT OUTER when ``outer``); NULL keys never
-    match, mirroring the scalar operator."""
+    match (SQL equality is unknown on NULL). ``residual`` is evaluated on
+    the concatenated row; an outer left row with no surviving match is
+    emitted padded with NULLs."""
     tick = ticker.tick_batch
     buckets: dict[Any, list[Row]] = {}
     if len(right_slots) == 1:
@@ -305,8 +307,8 @@ def nested_loop_join_batches(
     ticker: Ticker,
     size: int,
 ) -> Chunks:
-    """Fallback non-equi join: delegates to the scalar operator (it is the
-    rare path) and re-batches its output."""
+    """Fallback non-equi join: runs :func:`executor.nested_loop_join` row by
+    row (it is the rare path) and re-batches its output."""
     joined = nested_loop_join(
         flatten(left_chunks),
         lambda: flatten(right_chunks_factory()),
@@ -336,7 +338,7 @@ def _params(consts: list) -> str:
 
 #: provenance tri-state for an equality operand's value space
 _TEXT = object()  # only None or EncodedString (an interned TEXT value)
-_PLAIN = object()  # never EncodedString (numeric column, or no dictionary)
+_PLAIN = object()  # never EncodedString (a numeric column)
 _ANY = object()  # unknown mix: encoded ids and plain values may coexist
 
 
@@ -348,7 +350,7 @@ class _KernelCtx:
     def __init__(
         self,
         scope: Scope,
-        dictionary: StringDictionary | None,
+        dictionary: StringDictionary,
         column_types: list[ColumnType | None] | None,
     ) -> None:
         self.scope = scope
@@ -372,8 +374,6 @@ class _KernelCtx:
         return f"({name} := {src})", name
 
     def tri(self, slot: int) -> object:
-        if self.dictionary is None:
-            return _PLAIN
         affinity = (
             self.types[slot]
             if self.types is not None and slot < len(self.types)
@@ -389,7 +389,7 @@ class _KernelCtx:
 def compile_filter_kernel(
     expr: ast.Expr,
     scope: Scope,
-    dictionary: StringDictionary | None,
+    dictionary: StringDictionary,
     column_types: list[ColumnType | None] | None = None,
 ) -> FilterKernel | None:
     """A whole-chunk filter for the supported predicate subset, or None.
@@ -530,7 +530,7 @@ def _eq_source(lhs: ast.Expr, rhs: ast.Expr, ctx: _KernelCtx) -> str | None:
     r_src, r_tri, _ = right
     if l_tri is _ANY or r_tri is _ANY or l_tri is not r_tri:
         # Mixed or unknown provenance: encoded-vs-plain text equality
-        # needs the full comparison machinery — scalar path handles it.
+        # needs the full comparison machinery of the per-row evaluator.
         return None
     # Both TEXT (ids or None) or both PLAIN: Python == agrees with SQL =
     # once NULL is guarded. A NULL right side compares unequal anyway.

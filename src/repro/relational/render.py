@@ -19,6 +19,20 @@ def _quote_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
+def _chain_operands(expr: ast.Expr, op: str) -> list[ast.Expr]:
+    """The operands of a chain of ``op`` (AND / OR) nodes, left to right."""
+    operands: list[ast.Expr] = []
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.BinOp) and node.op.upper() == op:
+            pending.append(node.right)
+            pending.append(node.left)
+        else:
+            operands.append(node)
+    return operands
+
+
 def render_expr(expr: ast.Expr) -> str:
     """Render an expression to SQL text."""
     if isinstance(expr, ast.Const):
@@ -36,6 +50,15 @@ def render_expr(expr: ast.Expr) -> str:
         return _quote_ident(expr.name)
     if isinstance(expr, ast.BinOp):
         op = expr.op.upper() if expr.op.isalpha() else expr.op
+        if op in ("AND", "OR"):
+            # AND and OR are associative: a same-operator chain renders at
+            # one level, "(a AND b AND c)". Nesting each link instead would
+            # overflow sqlite's parser stack on the loader's conjunctions
+            # over every column of a wide row.
+            body = f" {op} ".join(
+                render_expr(operand) for operand in _chain_operands(expr, op)
+            )
+            return f"({body})"
         return f"({render_expr(expr.left)} {op} {render_expr(expr.right)})"
     if isinstance(expr, ast.UnaryOp):
         op = expr.op.upper() if expr.op.isalpha() else expr.op

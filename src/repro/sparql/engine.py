@@ -286,70 +286,41 @@ class SparqlEngine:
         snapshot: Any = None,
         epoch: int | None = None,
     ) -> SelectResult:
-        if tracer is not None and tracer.enabled:
-            return self._query_traced(sparql, timeout, tracer, budget, snapshot, epoch)
-        if isinstance(sparql, str) and self.cache.enabled:
-            plan = self.compile_cached(sparql, epoch=epoch)
-            compiled, variables = plan.sql, list(plan.variables)
-        else:
-            compiled, select = self.compile(sparql)
-            variables = select.projected_variables()
-        columns, raw_rows = self.backend.execute(
-            compiled, timeout=timeout, budget=budget, snapshot=snapshot
-        )
-        if budget is not None:
-            budget.enforce_output(len(raw_rows))
-        width = len(variables)  # drop any trailing marker column (ASK)
-        rows: list[tuple[Term | None, ...]] = [
-            tuple(
-                None if key is None else term_from_key(key)
-                for key in row[:width]
-            )
-            for row in raw_rows
-        ]
-        return SelectResult(variables, rows)
-
-    def _query_traced(
-        self,
-        sparql: "str | SelectQuery | AskQuery",
-        timeout: float | None,
-        tracer: Tracer,
-        budget: Any = None,
-        snapshot: Any = None,
-        epoch: int | None = None,
-    ) -> SelectResult:
-        """The PROFILE path: same pipeline as :meth:`query`, with spans
-        around compile / execute / decode and per-operator metering in the
-        backend. Kept separate so the untraced path stays word-for-word the
-        zero-overhead hot path."""
-        with tracer.span("compile"):
+        """Compile (through the plan cache for query text), execute and
+        decode. An enabled ``tracer`` is the PROFILE path: spans around
+        compile / execute / decode, and per-operator metering in the
+        backend; without one every stage context is a no-op."""
+        if tracer is not None and not tracer.enabled:
+            tracer = None
+        with _stage(tracer, "compile"):
             if isinstance(sparql, str) and self.cache.enabled:
                 plan = self.compile_cached(sparql, tracer, epoch=epoch)
                 compiled, variables = plan.sql, list(plan.variables)
             else:
                 compiled, select, _, _ = self._compile_stages(sparql, tracer)
                 variables = select.projected_variables()
-        with tracer.span("execute", backend=self.backend.name) as span:
+        with _stage(tracer, "execute", backend=self.backend.name) as span:
             try:
-                columns, raw_rows = self.backend.execute_profiled(
+                columns, raw_rows = self.backend.execute(
                     compiled,
                     timeout=timeout,
-                    tracer=tracer,
                     budget=budget,
                     snapshot=snapshot,
+                    tracer=tracer,
                 )
             finally:
                 # Guardrail trips surface as span counters even when the
                 # trip aborts the query mid-span.
-                if budget is not None:
+                if span is not None and budget is not None:
                     span.set("budget_ticks", budget.ticks)
                     if budget.tripped is not None:
                         span.set("guardrail", budget.tripped)
             if budget is not None:
                 budget.enforce_output(len(raw_rows))
-            span.set("rows_out", len(raw_rows))
-        with tracer.span("decode") as span:
-            width = len(variables)
+            if span is not None:
+                span.set("rows_out", len(raw_rows))
+        with _stage(tracer, "decode") as span:
+            width = len(variables)  # drop any trailing marker column (ASK)
             rows: list[tuple[Term | None, ...]] = [
                 tuple(
                     None if key is None else term_from_key(key)
@@ -357,7 +328,8 @@ class SparqlEngine:
                 )
                 for row in raw_rows
             ]
-            span.set("rows_out", len(rows))
+            if span is not None:
+                span.set("rows_out", len(rows))
         return SelectResult(variables, rows)
 
     def ask(self, sparql: str, timeout: float | None = None) -> bool:

@@ -32,8 +32,9 @@ class TestTranslation:
         sql = store.explain(
             "SELECT ?s WHERE { ?s <industry> <Software> . ?s <HQ> <Armonk> }"
         )
-        assert sql.count(store.tables["industry"]) == 1
-        assert sql.count(store.tables["HQ"]) == 1
+        # Quoted, so "VP1" does not also count "VP10".
+        assert sql.count(f'"{store.tables["industry"]}"') == 1
+        assert sql.count(f'"{store.tables["HQ"]}"') == 1
 
     def test_figure6_matches_reference(self, store, fig1_graph):
         reference = query_graph(fig1_graph, FIGURE6_QUERY)

@@ -90,7 +90,7 @@ def test_term_key_round_trips_through_dictionary(term):
 @given(st.lists(stored_strings, min_size=1, max_size=30, unique=True))
 def test_database_results_are_decoded_strings(values):
     """Whatever goes into a TEXT column comes back as the same plain str."""
-    db = Database(batch_size=64, intern_strings=True)
+    db = Database(batch_size=64)
     db.create_table("t", [("k", ColumnType.TEXT), ("n", ColumnType.INTEGER)])
     db.insert("t", [(value, i) for i, value in enumerate(values)])
     result = db.execute("SELECT k, n FROM t ORDER BY n")

@@ -2,7 +2,9 @@
 
 Every query is executed twice — AST directly on minirel, rendered text on
 sqlite3 — and results must agree as multisets (or exactly, under ORDER BY).
-This is the substrate-level guarantee the RDF translator builds on.
+This is the substrate-level guarantee the RDF translator builds on. The
+fixture tables are smaller than one default chunk, so every query also
+runs at ``batch_size=1``, where each row crosses a chunk boundary.
 """
 
 import sqlite3
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational import ColumnType, Database, parse_sql
+from repro.relational.catalog import DEFAULT_BATCH_SIZE
 from repro.relational.render import render_statement
 
 ROWS = [
@@ -25,9 +28,8 @@ ROWS = [
 DEPTS = [("eng", "nyc"), ("sales", "sfo"), ("hr", None)]
 
 
-@pytest.fixture
-def engines():
-    mini = Database()
+def build_engines(batch_size: int = DEFAULT_BATCH_SIZE):
+    mini = Database(batch_size=batch_size)
     mini.create_table(
         "emp",
         [("name", ColumnType.TEXT), ("dept", ColumnType.TEXT), ("salary", ColumnType.INTEGER)],
@@ -44,6 +46,11 @@ def engines():
     lite.execute("CREATE TABLE dept (name TEXT, city TEXT)")
     lite.executemany("INSERT INTO dept VALUES (?,?)", DEPTS)
     return mini, lite
+
+
+@pytest.fixture
+def engines():
+    return build_engines()
 
 
 def both(engines, sql_text: str, ordered: bool = False):
@@ -106,6 +113,14 @@ def test_unordered_agreement(engines, sql_text):
 @pytest.mark.parametrize("sql_text", ORDERED_QUERIES)
 def test_ordered_agreement(engines, sql_text):
     both(engines, sql_text, ordered=True)
+
+
+@pytest.mark.parametrize(
+    "sql_text, ordered",
+    [(q, False) for q in QUERIES] + [(q, True) for q in ORDERED_QUERIES],
+)
+def test_one_row_chunks_agree(sql_text, ordered):
+    both(build_engines(batch_size=1), sql_text, ordered=ordered)
 
 
 # A tiny random-query generator over one table: projections of simple

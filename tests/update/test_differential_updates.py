@@ -159,3 +159,32 @@ def test_faulted_update_sequences_agree_with_clean_reference(
             assert (
                 answers["minirel"] == answers["sqlite"] == answers["native"]
             ), (step, text, probe, answers)
+
+
+def test_wide_sqlite_store_writes_agree_with_hexastore():
+    """Writes to a store wider than sqlite's parser stack is deep.
+
+    The loader pins a row by a conjunction over every column of the
+    entity's row; with 110 columns a nested rendering of that chain
+    overflowed sqlite's parser stack. Adding a subject for an
+    already-stored object rewrites that object's reverse row, and the
+    delete clears the cell again."""
+    wide = RdfStore(
+        backend=SqliteBackend(), direct_columns=110, reverse_columns=110
+    )
+    wide.load_graph(figure1_graph())
+    native = NativeMemoryStore.from_graph(figure1_graph())
+    for text in (
+        "INSERT DATA { <Newco> <industry> <Software> }",
+        "DELETE DATA { <Newco> <industry> <Software> }",
+        "DELETE DATA { <Google> <industry> <Software> }",
+    ):
+        wrote, expected = wide.update(text), native.update(text)
+        assert (wrote.inserted, wrote.deleted) == (
+            expected.inserted,
+            expected.deleted,
+        ), text
+        for probe in PROBES:
+            assert tuple(wide.query(probe).canonical()) == tuple(
+                native.query(probe).canonical()
+            ), (text, probe)
