@@ -31,6 +31,13 @@ Reads ``benchmarks/out/results.json`` (written by the benches through
   ceiling is far lower than stars: exec time must stay at or below the
   pinned scalar time over 1.5 (measured ~2.4×). A miss means batching
   regressed on probe-heavy plans, not that the star target moved.
+* ``lubm_exec_cal`` — the 12 LUBM queries over LUBM(2) (geomean exec
+  time, calibration units; see ``bench_batch.py``) must stay at or below
+  the time measured before execution reused compiled kernels and scopes
+  and projected DB2RDF ``CASE`` selectors through id kernels, pinned in
+  ``PINNED_REPLAN_LUBM_EXEC_CAL``, over 1.4 (measured ~1.8×). A miss
+  means per-execution planning or a per-row fallback crept back into
+  the translator's hot SQL shapes.
 * ``plan_regret_geomean`` — the cost-based join orderer's chosen plans
   must stay within 1.3× (geomean) of the best enumerated alternative's
   measured work on the plan battery, counted in deterministic
@@ -45,10 +52,13 @@ Reads ``benchmarks/out/results.json`` (written by the benches through
   cost at most 5% over ``durability=none`` on batched commits; the
   bench takes best-of-three per mode to cancel machine drift.
 
-The three pinned baselines were measured at the last commit that still
-had the tuple-at-a-time executor and the plain-string mode: the median
-of 12 runs of the same calibrated measurement ``bench_batch.py`` makes,
-at its fixed sizes (20k star triples, 4k chain entities).
+The star, chain and build baselines were measured at the last commit
+that still had the tuple-at-a-time executor and the plain-string mode:
+the median of 12 runs of the same calibrated measurement
+``bench_batch.py`` makes, at its fixed sizes (20k star triples, 4k chain
+entities). The LUBM baseline is the median of three ``bench_batch.py``
+gate values (each itself a median of 10 runs) at the last commit that
+re-planned every execution from scratch.
 
 Stdlib only; exits nonzero with one line per failure.
 """
@@ -69,8 +79,11 @@ MAX_SERVE_P50_MS = 150.0
 PINNED_SCALAR_STAR_EXEC_CAL = 0.812
 PINNED_SCALAR_CHAIN_EXEC_CAL = 0.888
 PINNED_PLAIN_BUILD_CAL = 40.8
+#: LUBM(2) exec before plan-time reuse and CASE kernels, calibration units
+PINNED_REPLAN_LUBM_EXEC_CAL = 0.218
 MIN_STAR_SPEEDUP = 5.0
 MIN_CHAIN_SPEEDUP = 1.5
+MIN_LUBM_SPEEDUP = 1.4
 MAX_INTERNED_BUILD_OVERHEAD = 0.10
 MAX_PLAN_REGRET_GEOMEAN = 1.3
 MAX_WAL_FLUSH_OVERHEAD = 0.05
@@ -167,6 +180,11 @@ def main() -> int:
             "chain_exec_cal",
             PINNED_SCALAR_CHAIN_EXEC_CAL / MIN_CHAIN_SPEEDUP,
             f"pinned scalar / {MIN_CHAIN_SPEEDUP:.1f}",
+        ),
+        (
+            "lubm_exec_cal",
+            PINNED_REPLAN_LUBM_EXEC_CAL / MIN_LUBM_SPEEDUP,
+            f"pinned re-planning / {MIN_LUBM_SPEEDUP:.1f}",
         ),
         (
             "interned_build_cal",

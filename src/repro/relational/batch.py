@@ -324,11 +324,27 @@ def nested_loop_join_batches(
 
 _EVAL_GLOBALS = {"__builtins__": {}, "isinstance": isinstance, "map": map}
 
+#: bound on the generated-kernel memo behind :func:`_compile`; the memo is
+#: cleared when it fills. Entries depend on their key alone, so threads may
+#: share it without a lock: a race at worst evaluates one source twice.
+KERNEL_MEMO_SIZE = 1024
+
+_FACTORIES: dict[str, Any] = {}
+
 
 def _compile(source: str, bindings: list) -> Any:
     """Evaluate a ``lambda _enc, _c0, ...: <kernel>`` source with constants
-    passed as arguments (never interpolated into the source)."""
-    factory = eval(source, dict(_EVAL_GLOBALS))  # noqa: S307 - internal codegen
+    passed as arguments (never interpolated into the source).
+
+    Because constants are arguments, the evaluated factory depends on the
+    source text alone and is memoized by it: a re-planned statement skips
+    the ``eval`` and only binds its (freshly looked-up) constants."""
+    factory = _FACTORIES.get(source)
+    if factory is None:
+        if len(_FACTORIES) >= KERNEL_MEMO_SIZE:
+            _FACTORIES.clear()
+        factory = eval(source, dict(_EVAL_GLOBALS))  # noqa: S307 - internal codegen
+        _FACTORIES[source] = factory
     return factory(EncodedString, *bindings)
 
 
@@ -539,12 +555,17 @@ def _eq_source(lhs: ast.Expr, rhs: ast.Expr, ctx: _KernelCtx) -> str | None:
 
 
 def compile_projection_kernel(
-    item_exprs: list[ast.Expr], scope: Scope
+    item_exprs: list[ast.Expr],
+    scope: Scope,
+    dictionary: StringDictionary,
+    column_types: list[ColumnType | None] | None = None,
 ) -> ProjectionKernel | None:
-    """A whole-list projection for columns / constants / COALESCE chains.
+    """A whole-list projection for columns / constants / COALESCE chains /
+    DB2RDF CASE selectors.
 
-    Pure computation (no equality), so it is sound for any value mix; falls
-    back (None) on anything needing the expression evaluator.
+    Pure computation (the only equality is the CASE selector's, which
+    compares interned ids over a TEXT slot), so it is sound for any value
+    mix; falls back (None) on anything needing the expression evaluator.
     """
     slots: list[int] = []
     all_columns = True
@@ -564,15 +585,16 @@ def compile_projection_kernel(
         getter = itemgetter(*slots)
         return lambda rows: list(map(getter, rows))
 
-    # Mixed projection (columns, constants, COALESCE chains): extract each
-    # output column independently — itemgetter maps and pairwise COALESCE
-    # comprehensions are C-driven loops — then recompose rows with zip().
-    # This column-at-a-time shape beats a generated row-wise comprehension
-    # because per-row work collapses to one zip step instead of N
-    # subscript/conditional opcodes inside a tuple display.
+    # Mixed projection (columns, constants, COALESCE chains, CASE): extract
+    # each output column independently — itemgetter maps and pairwise
+    # COALESCE comprehensions are C-driven loops — then recompose rows with
+    # zip(). This column-at-a-time shape beats a generated row-wise
+    # comprehension because per-row work collapses to one zip step instead
+    # of N subscript/conditional opcodes inside a tuple display.
+    ctx = _KernelCtx(scope, dictionary, column_types)
     extractors: list[Callable[[list], Any]] = []
     for expr in item_exprs:
-        extractor = _column_extractor(expr, scope)
+        extractor = _column_extractor(expr, ctx)
         if extractor is None:
             return None
         extractors.append(extractor)
@@ -589,7 +611,7 @@ def compile_projection_kernel(
 
 
 def _column_extractor(
-    expr: ast.Expr, scope: Scope
+    expr: ast.Expr, ctx: _KernelCtx
 ) -> Callable[[list], Any] | None:
     """rows -> iterable of this expression's values, or None if unsupported.
 
@@ -597,7 +619,7 @@ def _column_extractor(
     the caller recomposes them with zip, which also bounds the infinite
     constant columns."""
     if isinstance(expr, ast.Column):
-        slot = _column_slot(expr, scope)
+        slot = _column_slot(expr, ctx.scope)
         if slot is None:
             return None
         getter = itemgetter(slot)
@@ -606,7 +628,7 @@ def _column_extractor(
         value = expr.value
         return lambda rows: repeat(value, len(rows))
     if isinstance(expr, ast.FuncCall) and expr.name.upper() == "COALESCE":
-        parts = [_column_extractor(arg, scope) for arg in expr.args]
+        parts = [_column_extractor(arg, ctx) for arg in expr.args]
         if not parts or any(part is None for part in parts):
             return None
         folded = parts[-1]
@@ -618,4 +640,53 @@ def _column_extractor(
                 ]
             folded = fold
         return folded
+    if isinstance(expr, ast.Case):
+        return _case_extractor(expr, ctx)
     return None
+
+
+def _case_extractor(
+    expr: ast.Case, ctx: _KernelCtx
+) -> Callable[[list], list] | None:
+    """The DB2RDF hashed-predicate selector (paper §3) as one generated
+    comprehension: ``CASE WHEN <TEXT col> = '<str>' THEN <col> [WHEN …]
+    END``, with no ELSE.
+
+    Each constant is looked up once; the per-row test is an int-id
+    ``==``. A constant the dictionary has never seen matches no stored
+    value, so its branch is dropped here (the planner re-derives this per
+    plan, so a later insert revives it). Any other shape returns None and
+    the caller falls back to the per-row evaluator."""
+    if expr.default is not None:
+        return None
+    consts: list = []
+    branches: list[tuple[str, str, str]] = []
+    for condition, result in expr.whens:
+        if not (
+            isinstance(condition, ast.BinOp)
+            and condition.op == "="
+            and isinstance(condition.right, ast.Const)
+            and type(condition.right.value) is str
+            and isinstance(result, ast.Column)
+        ):
+            return None
+        selector = _column_slot(condition.left, ctx.scope)
+        value = _column_slot(result, ctx.scope)
+        if selector is None or value is None:
+            return None
+        if ctx.tri(selector) is not _TEXT:
+            return None  # only interned TEXT makes id equality exact
+        encoded = ctx.dictionary.lookup(condition.right.value)
+        if encoded is not None:
+            branches.append((f"r[{selector}]", _bind(consts, encoded), f"r[{value}]"))
+    source = "None"
+    for selector_src, name, value_src in reversed(branches):
+        # isinstance runs on candidate matches only, as in filter kernels
+        source = (
+            f"({value_src} if {selector_src} == {name}"
+            f" and isinstance({selector_src}, _enc) else {source})"
+        )
+    return _compile(
+        f"lambda _enc{_params(consts)}: lambda rows: [{source} for r in rows]",
+        consts,
+    )

@@ -12,6 +12,8 @@ Boolean results use SQL three-valued logic: ``True`` / ``False`` / ``None``
 from __future__ import annotations
 
 import re
+import string
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 from . import ast
@@ -34,15 +36,27 @@ def register_function(name: str, fn: Callable[..., Any]) -> None:
     CUSTOM_FUNCTIONS[name.upper()] = fn
 
 
+#: bound on the interned-scope table behind :meth:`Scope.of`; the table is
+#: cleared when it fills (a working set of distinct FROM shapes is far
+#: smaller, so this only caps memory under an unbounded query mix). Threads
+#: share it without a lock: a race at worst builds one equal scope twice.
+SCOPE_MEMO_SIZE = 2048
+
+_SCOPES: dict[tuple[tuple[str, str], ...], "Scope"] = {}
+
+
 class Scope:
     """Maps column references to positions in the current row tuple.
 
-    A scope is an ordered list of ``(binding, column_name)`` pairs, where
+    A scope is an ordered tuple of ``(binding, column_name)`` pairs, where
     *binding* is the table alias (or CTE name) the column came from.
+    Scopes are immutable, so the planner shares one instance per slot
+    tuple (:meth:`of`) instead of rebuilding the lookup maps on every
+    execution.
     """
 
     def __init__(self, slots: Sequence[tuple[str, str]]) -> None:
-        self.slots = list(slots)
+        self.slots = tuple(slots)
         self._by_qualified: dict[tuple[str, str], int] = {}
         self._by_name: dict[str, list[int]] = {}
         for position, (binding, name) in enumerate(self.slots):
@@ -50,6 +64,16 @@ class Scope:
             if key not in self._by_qualified:
                 self._by_qualified[key] = position
             self._by_name.setdefault(name.lower(), []).append(position)
+
+    @classmethod
+    def of(cls, slots: tuple[tuple[str, str], ...]) -> "Scope":
+        """The shared scope for ``slots`` (built on first use)."""
+        scope = _SCOPES.get(slots)
+        if scope is None:
+            if len(_SCOPES) >= SCOPE_MEMO_SIZE:
+                _SCOPES.clear()
+            scope = _SCOPES[slots] = cls(slots)
+        return scope
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -75,7 +99,7 @@ class Scope:
         return True
 
     def merged_with(self, other: "Scope") -> "Scope":
-        return Scope(self.slots + other.slots)
+        return Scope.of(self.slots + other.slots)
 
 
 def _numeric(value: Any, op: str) -> float | int:
@@ -96,7 +120,11 @@ def _numeric(value: Any, op: str) -> float | int:
     raise ExecutionError(f"non-numeric operand for {op}: {value!r}")
 
 
+@lru_cache(maxsize=256)
 def _like_to_regex(pattern: str) -> re.Pattern[str]:
+    """The regex for a LIKE pattern, memoized: a constant pattern is
+    translated once, not once per row. Case folding is ASCII-only
+    (``re.ASCII``), as in SQLite's built-in LIKE."""
     parts: list[str] = []
     for char in pattern:
         if char == "%":
@@ -105,7 +133,14 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
             parts.append(".")
         else:
             parts.append(re.escape(char))
-    return re.compile("^" + "".join(parts) + "$", re.IGNORECASE | re.DOTALL)
+    return re.compile(
+        "^" + "".join(parts) + "$", re.IGNORECASE | re.ASCII | re.DOTALL
+    )
+
+
+#: SQLite's LOWER/UPPER fold ASCII letters only
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+_ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
 
 
 _COMPARE_CHECKS: dict[str, Callable[[int], bool]] = {
@@ -279,12 +314,22 @@ def _compile_func(expr: ast.FuncCall, scope: Scope) -> Evaluator:
 
     if name in ("LOWER", "UPPER"):
         (arg,) = args
-        transform = str.lower if name == "LOWER" else str.upper
-        return lambda row: None if arg(row) is None else transform(str(arg(row)))
+        table = _ASCII_LOWER if name == "LOWER" else _ASCII_UPPER
+
+        def case_fold(row: Row) -> Any:
+            value = arg(row)
+            return None if value is None else str(value).translate(table)
+
+        return case_fold
 
     if name == "LENGTH":
         (arg,) = args
-        return lambda row: None if arg(row) is None else len(str(arg(row)))
+
+        def length_eval(row: Row) -> Any:
+            value = arg(row)
+            return None if value is None else len(str(value))
+
+        return length_eval
 
     if name == "ABS":
         (arg,) = args

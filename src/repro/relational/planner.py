@@ -323,18 +323,13 @@ class Planner:
             item_exprs = [
                 _rewrite_with_index(expr, self._agg_index) for expr in item_exprs
             ]
-        evaluators = [compile_expr(expr, scope) for expr in item_exprs]
         # Project whole row lists through a compiled kernel (itemgetter /
-        # column-at-a-time zip) when the items allow it.
-        kernel = compile_projection_kernel(item_exprs, scope)
-
-        def project(rows_list: list[Row]) -> list[Row]:
-            if kernel is not None:
-                return kernel(rows_list)
-            return [
-                tuple(evaluator(row) for evaluator in evaluators)
-                for row in rows_list
-            ]
+        # column-at-a-time zip / CASE id selectors) when the items allow it.
+        kernel = compile_projection_kernel(
+            item_exprs, scope, self.db.dictionary, scope_types
+        )
+        if self.trace is not None:
+            self.trace.set("project", "per-row" if kernel is None else "kernel")
 
         needs_scope_sort = False
         order_plan: list[tuple[str, Any, bool]] = []  # (kind, key, ascending)
@@ -343,6 +338,21 @@ class Planner:
             order_plan.append(resolved)
             if resolved[0] == "scope":
                 needs_scope_sort = True
+        # Per-row evaluators: the projection fallback, and the sort keys of
+        # output columns when sorting happens before projection.
+        evaluators = (
+            [compile_expr(expr, scope) for expr in item_exprs]
+            if kernel is None or needs_scope_sort
+            else []
+        )
+
+        def project(rows_list: list[Row]) -> list[Row]:
+            if kernel is not None:
+                return kernel(rows_list)
+            return [
+                tuple(evaluator(row) for evaluator in evaluators)
+                for row in rows_list
+            ]
 
         materialized = list(rows)
         if needs_scope_sort:
@@ -360,12 +370,15 @@ class Planner:
                 projected = _sort_projected(projected, order_plan)
         projected = _apply_limit(projected, select.limit, select.offset)
         if is_aggregate or any(
-            not isinstance(expr, ast.Column) for expr in item_exprs
+            not isinstance(expr, ast.Column)
+            and _mints_strings(expr, scope, scope_types)
+            for expr in item_exprs
         ):
             # Pure-column projections are canonical by induction (base TEXT
             # columns are interned; CTE/subquery results were canonicalized
-            # when produced); only computed items — or aggregates over
-            # computed arguments — can mint plain strings.
+            # when produced), and so are COALESCE / CASE selectors over such
+            # columns; only computed items — or aggregates over computed
+            # arguments — can mint plain strings.
             _canonicalize_rows(projected, self.db.dictionary.lookup)
         result = QueryResult(column_names, projected)
         # Affinity inference for downstream kernels: a CTE scanning this
@@ -468,7 +481,7 @@ class Planner:
     ) -> tuple[Scope, list[ColumnType | None] | None, Chunks]:
         """Plan FROM/WHERE; returns (scope, per-slot affinities, chunks)."""
         if select.from_ is None:
-            scope = Scope([])
+            scope = Scope.of(())
             chunk: list[Row] = [()]
             if select.where is not None:
                 condition = compile_expr(select.where, scope)
@@ -543,7 +556,7 @@ class Planner:
             if key in self.cte_env:
                 result = self.cte_env[key]
                 binding = item.binding
-                scope = Scope([(binding, name) for name in result.columns])
+                scope = Scope.of(tuple((binding, name) for name in result.columns))
                 rows_list = result.rows
                 factory = self._metered(
                     lambda: chunk_list(rows_list, batch), f"cte-scan {item.name}"
@@ -553,7 +566,9 @@ class Planner:
                 )
             table = self.db.table(item.name)
             binding = item.binding
-            scope = Scope([(binding, name) for name in table.schema.column_names])
+            scope = Scope.of(
+                tuple((binding, name) for name in table.schema.column_names)
+            )
             ticker = self.ticker
             version = self.version
             factory = self._metered(
@@ -566,7 +581,7 @@ class Planner:
             )
         if isinstance(item, ast.SubqueryRef):
             result = self.execute_query(item.query)
-            scope = Scope([(item.alias, name) for name in result.columns])
+            scope = Scope.of(tuple((item.alias, name) for name in result.columns))
             rows_list = result.rows
             result_types = getattr(result, "column_types", None)
             return PlannedUnit(
@@ -631,7 +646,7 @@ class Planner:
         condition = None if kernel is not None else compile_expr(expr, scope)
         if self.trace is None:
             return filter_batches(rows, kernel, condition, self.ticker)
-        span = self.trace.child("filter")
+        span = self.trace.child("filter", kernel=kernel is not None)
         return span.meter_batches(
             filter_batches(
                 span.count_batches(rows, "rows_in"),
@@ -744,12 +759,10 @@ class Planner:
         # non-equi path).
         right_factory = right.factory
         if right_only:
-            right_condition = compile_expr(ast.conjoin(right_only), right.scope)
-            ticker = self.ticker
-            base_factory = right_factory
-
+            # Right-local conjuncts plan like a first unit's: an index
+            # probe for a constant key, the rest as a kernel filter.
             def _filtered_right() -> Chunks:
-                return filter_batches(base_factory(), None, right_condition, ticker)
+                return self._apply_local(right, right_only)[0]
 
             right_factory = _filtered_right
         span = None if self.trace is None else self.trace.child(
@@ -905,8 +918,8 @@ class Planner:
             ]
             groups[()] = (empty_row, states)
 
-        extended_scope = Scope(
-            scope.slots + [("#agg", f"agg{i}") for i in range(len(agg_list))]
+        extended_scope = Scope.of(
+            scope.slots + tuple(("#agg", f"agg{i}") for i in range(len(agg_list)))
         )
         extended_rows = [
             rep + tuple(state.result() for state in states)
@@ -984,10 +997,11 @@ def _infer_affinity(
     """The affinity of a projected expression, or None when unknown.
 
     Only claims an affinity when the expression provably passes stored
-    values through unchanged: a column reference, or a COALESCE whose
-    branches all share one affinity. Anything computed (functions, string
-    literals, arithmetic) stays unknown — its values may be plain strings
-    that equal an interned value lexically without sharing its id."""
+    values through unchanged: a column reference, or a COALESCE / CASE
+    whose value branches (THEN and ELSE) all share one affinity. Anything
+    computed (functions, string literals, arithmetic) stays unknown — its
+    values may be plain strings that equal an interned value lexically
+    without sharing its id."""
     if types is None:
         return None
     if isinstance(expr, ast.Column):
@@ -996,17 +1010,51 @@ def _infer_affinity(
         except PlanError:
             return None
         return types[slot] if slot < len(types) else None
-    if (
-        isinstance(expr, ast.FuncCall)
-        and expr.name.upper() == "COALESCE"
-        and expr.args
-    ):
-        affinities = [_infer_affinity(arg, scope, types) for arg in expr.args]
-        first = affinities[0]
-        if first is not None and all(a is first for a in affinities):
-            return first
+    branches = _value_branches(expr)
+    if not branches:
         return None
+    affinities = [_infer_affinity(branch, scope, types) for branch in branches]
+    first = affinities[0]
+    if first is not None and all(a is first for a in affinities):
+        return first
     return None
+
+
+def _value_branches(expr: ast.Expr) -> list[ast.Expr]:
+    """The sub-expressions whose values a COALESCE or CASE passes through
+    unchanged (CASE conditions select a branch but are never a value);
+    empty for any other expression."""
+    if isinstance(expr, ast.FuncCall) and expr.name.upper() == "COALESCE":
+        return list(expr.args)
+    if isinstance(expr, ast.Case):
+        branches = [result for _, result in expr.whens]
+        if expr.default is not None:
+            branches.append(expr.default)
+        return branches
+    return []
+
+
+def _mints_strings(
+    expr: ast.Expr,
+    scope: Scope,
+    types: list[ColumnType | None] | None,
+) -> bool:
+    """Whether a projected item can produce a plain (un-interned) string.
+
+    A TEXT column holds ids and a column of unknown affinity comes from a
+    canonicalized result, but a numeric column may hold a non-numeric
+    string (lax affinity, as in SQLite). A non-string constant is never a
+    string; a COALESCE or CASE yields one of its branches' values or NULL.
+    Anything else may compute a string."""
+    if isinstance(expr, ast.Column):
+        affinity = _infer_affinity(expr, scope, types)
+        return affinity is not None and affinity is not ColumnType.TEXT
+    if isinstance(expr, ast.Const):
+        return type(expr.value) is str
+    branches = _value_branches(expr)
+    return not branches or any(
+        _mints_strings(branch, scope, types) for branch in branches
+    )
 
 
 def _output_affinities(

@@ -221,3 +221,121 @@ def test_random_joins_match_sqlite(sql_text):
     mini_rows = sorted(mini.execute(statement).rows, key=repr)
     lite_rows = sorted(lite.execute(render_statement(statement)).fetchall(), key=repr)
     assert mini_rows == lite_rows, sql_text
+
+
+# The DB2RDF hashed-predicate selector ``CASE WHEN <TEXT col> = '<str>'
+# THEN <col> ... END`` compiles to an id-comparing projection kernel; the
+# other shapes (ELSE, a numeric selector column, non-string constants)
+# fall back to the per-row evaluator. Both must agree with sqlite.
+CASE_QUERIES = [
+    "SELECT name, CASE WHEN dept = 'eng' THEN salary END AS s FROM emp",
+    "SELECT CASE WHEN dept = 'sales' THEN name WHEN dept = 'eng' THEN salary END "
+    "AS v, name FROM emp",
+    "SELECT CASE WHEN dept = 'eng' THEN name WHEN name = 'dave' THEN name END "
+    "FROM emp",
+    # dead branches: the constant is not in the dictionary
+    "SELECT name, CASE WHEN dept = 'nowhere' THEN salary WHEN dept = 'eng' "
+    "THEN name END AS v FROM emp",
+    "SELECT name, CASE WHEN dept = 'nowhere' THEN salary END AS v FROM emp",
+    # fallbacks: ELSE column, ELSE literal, numeric selector column
+    "SELECT CASE WHEN dept = 'eng' THEN name ELSE dept END FROM emp",
+    "SELECT CASE WHEN dept = 'eng' THEN name ELSE 'other' END FROM emp",
+    "SELECT name, CASE WHEN salary = 100 THEN dept END FROM emp",
+    "SELECT name, CASE WHEN salary = 'x' THEN dept END FROM emp",
+    # (CASE ...) = const in WHERE
+    "SELECT name FROM emp WHERE (CASE WHEN dept = 'eng' THEN name END) = 'alice'",
+    # a CASE column downstream: CTE filter, CTE join, DISTINCT, set ops
+    "WITH c AS (SELECT name, CASE WHEN dept = 'eng' THEN dept END AS d FROM emp) "
+    "SELECT name FROM c WHERE d IS NOT NULL AND d = 'eng'",
+    "WITH c AS (SELECT name, CASE WHEN dept = 'eng' THEN dept "
+    "WHEN dept = 'sales' THEN dept END AS d FROM emp) "
+    "SELECT c.name, x.city FROM c, dept x WHERE c.d = x.name",
+    "WITH c AS (SELECT name, CASE WHEN dept = 'eng' THEN dept END AS d FROM emp) "
+    "SELECT c.name, x.city FROM c LEFT OUTER JOIN dept x ON c.d = x.name",
+    "SELECT DISTINCT CASE WHEN dept = 'eng' THEN dept END FROM emp",
+    "WITH c AS (SELECT CASE WHEN dept = 'eng' THEN dept END AS d FROM emp "
+    "UNION ALL SELECT 'eng') SELECT DISTINCT d FROM c",
+    "SELECT CASE WHEN dept = 'eng' THEN dept END FROM emp UNION SELECT 'eng'",
+    "WITH c AS (SELECT CASE WHEN dept = 'eng' THEN name END AS n FROM emp "
+    "UNION ALL SELECT 'alice') SELECT n, COUNT(*) FROM c GROUP BY n",
+    # right-local conjuncts of a join without equi keys (index probe or
+    # kernel filter on the right side)
+    "SELECT d.name, e.name FROM dept d, emp e WHERE e.dept = 'eng'",
+    "SELECT d.name, e.name FROM dept d, emp e WHERE e.salary > 95 AND e.dept = 'eng'",
+    "SELECT d.name, e.name FROM dept d LEFT OUTER JOIN emp e ON e.dept = 'sales'",
+]
+
+
+@pytest.mark.parametrize("batch_size", [1, DEFAULT_BATCH_SIZE])
+@pytest.mark.parametrize("sql_text", CASE_QUERIES)
+def test_case_selectors_agree(sql_text, batch_size):
+    both(build_engines(batch_size=batch_size), sql_text)
+
+
+def test_case_branch_revives_after_its_constant_is_inserted():
+    """A CASE constant missing from the dictionary is a dead branch for
+    that plan only: re-executing the same parsed statement after an insert
+    interns it must take the branch."""
+    mini, lite = build_engines()
+    (statement,) = parse_sql(
+        "SELECT name, CASE WHEN dept = 'ops' THEN salary "
+        "WHEN dept = 'eng' THEN name END AS v FROM emp"
+    )
+    rendered = render_statement(statement)
+    for new_row in (None, ("gina", "ops", 70)):
+        if new_row is not None:
+            mini.insert("emp", [new_row])
+            lite.execute("INSERT INTO emp VALUES (?,?,?)", new_row)
+        assert sorted(mini.execute(statement).rows, key=repr) == sorted(
+            lite.execute(rendered).fetchall(), key=repr
+        )
+    assert ("gina", 70) in mini.execute(statement).rows
+
+
+WORDS = [("École",), ("école",), ("straße",), ("STRASSE",), ("Ünïcode",), ("plain",)]
+
+# SQLite's built-in LIKE, LOWER and UPPER fold ASCII letters only.
+TEXT_FUNCTION_QUERIES = [
+    "SELECT w, UPPER(w), LOWER(w), LENGTH(w) FROM words",
+    "SELECT w FROM words WHERE w LIKE 'é%'",
+    "SELECT w FROM words WHERE w LIKE 'É%'",
+    "SELECT w FROM words WHERE w LIKE '%COLE'",
+    "SELECT w FROM words WHERE w LIKE 'stra_e'",
+    "SELECT w FROM words WHERE w NOT LIKE 'ünï%'",
+    "SELECT w FROM words WHERE UPPER(w) = 'STRASSE'",
+    "SELECT w FROM words WHERE LOWER(w) = 'école'",
+]
+
+
+@pytest.mark.parametrize("batch_size", [1, DEFAULT_BATCH_SIZE])
+@pytest.mark.parametrize("sql_text", TEXT_FUNCTION_QUERIES)
+def test_text_functions_fold_ascii_like_sqlite(sql_text, batch_size):
+    mini = Database(batch_size=batch_size)
+    mini.create_table("words", [("w", ColumnType.TEXT)])
+    mini.insert("words", WORDS)
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE words (w TEXT)")
+    lite.executemany("INSERT INTO words VALUES (?)", WORDS)
+    both((mini, lite), sql_text)
+
+
+@pytest.mark.parametrize(
+    "sql_text",
+    [
+        "SELECT COALESCE(n, p) FROM lax UNION SELECT p FROM lax",
+        "SELECT CASE WHEN p = 'x' THEN n END FROM lax UNION SELECT p FROM lax",
+        "SELECT DISTINCT v FROM (SELECT CASE WHEN p = 'x' THEN n END AS v FROM lax "
+        "UNION ALL SELECT p FROM lax) AS s",
+    ],
+)
+def test_selectors_over_lax_numeric_columns_stay_canonical(sql_text):
+    """A non-numeric string in an INTEGER column is stored plain (lax
+    affinity); a selector passing it through must still be canonicalized
+    against the interned twin in a TEXT column."""
+    mini = Database()
+    mini.create_table("lax", [("n", ColumnType.INTEGER), ("p", ColumnType.TEXT)])
+    mini.insert("lax", [("x", "x"), (None, "y")])
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE lax (n INTEGER, p TEXT)")
+    lite.executemany("INSERT INTO lax VALUES (?,?)", [("x", "x"), (None, "y")])
+    both((mini, lite), sql_text)
